@@ -84,7 +84,7 @@ SPECS = {
 #: Save/restore rounds per checkpoint position.
 CHECKPOINT_REPEATS = 2
 #: Set-up episodes before each pass; one more, untimed, warms up first.
-SETUP_PER_PASS = 3
+SETUP_PER_PASS = 5
 INIT_POINTS = 512
 
 
@@ -107,7 +107,8 @@ def run_passes(spec, X, workdir, fixed, passes, tracer=None):
     spreading the passes over every core gives each step more chances to
     run at full speed.  Without a ``tracer`` each pass starts with
     ``SETUP_PER_PASS`` set-up episodes, so set-up is sampled across the
-    whole run; with one, odd passes are traced.
+    whole run and episode ``i`` can keep its fastest pass like a step; with
+    one, odd passes are traced.
     """
     cores = sorted(os.sched_getaffinity(0))
     results = []
@@ -312,7 +313,7 @@ def run(name: str, seed: int, seconds: int, trace: bool, workdir: str):
         return run_traced(spec, X, fixed, passes, workdir, seed)
 
     results = run_passes(spec, X, workdir, fixed, passes)
-    setup_s = float(np.median([t for r in results for t in r.setup]))
+    setup_s = float(np.median(best_of(np.array([r.setup for r in results]))))
     pur, state_bytes, ref_attempted, ref_failed = reference_quality(spec, workdir)
     update = best_of(np.stack([r.update for r in results]))
     query = best_of(np.stack([r.query for r in results]))
