@@ -6,7 +6,7 @@ use case runs for weeks) must survive restarts without replaying the whole
 stream.  This demo:
 
 1. clusters the first half of a two-cluster stream,
-2. saves the model to a JSON snapshot,
+2. saves the model to an atomic ``.npz`` array checkpoint,
 3. loads it back into a fresh process-like state, and
 4. continues clustering the second half with the restored model,
 
@@ -50,7 +50,7 @@ def main() -> None:
     for point in stream.prefix(half):
         model.learn_one(point.values, timestamp=point.timestamp, label=point.label)
 
-    snapshot_path = Path(tempfile.gettempdir()) / "edmstream_demo_snapshot.json"
+    snapshot_path = Path(tempfile.gettempdir()) / "edmstream_demo_checkpoint.npz"
     save_model(model, snapshot_path)
     print(f"saved model after {model.n_points} points to {snapshot_path} "
           f"({snapshot_path.stat().st_size} bytes)")

@@ -13,7 +13,8 @@ The sub-modules follow the structure of the paper:
 * :mod:`repro.core.evolution` — cluster-evolution tracking (Table 1).
 * :mod:`repro.core.adaptive_tau` — adaptive tuning of τ (Section 5).
 * :mod:`repro.core.edmstream` — the online EDMStream algorithm (Section 4).
-* :mod:`repro.core.persistence` — saving/restoring model state as JSON.
+* :mod:`repro.core.persistence` — atomic array checkpoints of model
+  state (``.npz``).
 """
 
 from repro.core.adaptive_tau import TauOptimizer
@@ -28,8 +29,8 @@ from repro.core.filters import DependencyFilter, FilterStatistics
 from repro.core.reservoir import OutlierReservoir
 from repro.core.persistence import (
     load_model,
-    model_from_dict,
-    model_to_dict,
+    model_from_arrays,
+    model_to_arrays,
     save_model,
 )
 
@@ -47,8 +48,8 @@ __all__ = [
     "TauOptimizer",
     "EDMStreamConfig",
     "EDMStream",
-    "model_to_dict",
-    "model_from_dict",
+    "model_to_arrays",
+    "model_from_arrays",
     "save_model",
     "load_model",
 ]

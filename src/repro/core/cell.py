@@ -9,9 +9,9 @@ decayed multiplicatively whenever it is read at a later time.
 Since the structure-of-arrays refactor, :class:`ClusterCell` is a *thin
 view*: all of its numeric state lives in the parallel columns of a
 :class:`~repro.core.soa.CellArrays` arena, and the attributes below read and
-write those columns in place.  Cells constructed standalone (tests,
-deserialisation) are backed by the process-wide detached arena until a model
-adopts them into its own; either way the object API — ``absorb``,
+write those columns in place.  Cells constructed standalone (e.g. in
+tests) are backed by the process-wide detached arena until a model adopts
+them into its own; either way the object API — ``absorb``,
 ``density_at``, ``refresh``, plain attribute access — is unchanged.
 """
 

@@ -127,9 +127,6 @@ class CellStore:
             self._ids_cache = np.asarray(self._ids, dtype=np.int64)
         return self._ids_cache
 
-    # Backwards-compatible private alias (pre-dates the public cache).
-    _ids_array = ids_array
-
     def seed_view(self) -> Optional[np.ndarray]:
         """The population's seed matrix in array order (cached, read-only).
 
@@ -218,6 +215,45 @@ class CellStore:
         self._size -= 1
         self._arrays.status[slot] = DETACHED
         return self._arrays.view(cell_id)
+
+    # ------------------------------------------------------------------ #
+    # checkpointing
+    # ------------------------------------------------------------------ #
+    def dump(self) -> Dict[str, np.ndarray]:
+        """The population's bookkeeping as arrays (see :meth:`restore`).
+
+        Slots are written in store order and the slot array's capacity and
+        which query caches are materialised are recorded too, because
+        capped-mode eviction breaks ties by store position and the cap
+        accounting (:meth:`memory_footprint`) counts all three.
+        """
+        return {
+            "slots": self._slots[: self._size].copy(),
+            "capacity": np.asarray(self._slots.shape[0], dtype=np.int64),
+            "cached": np.asarray(
+                [self._ids_cache is not None, self._seed_cache is not None], dtype=bool
+            ),
+        }
+
+    def restore(self, state: Dict[str, np.ndarray]) -> None:
+        """Refill this (empty) store from :meth:`dump` output.
+
+        The backing arena must already hold the cells (restored first).
+        """
+        if self._size:
+            raise ValueError("restore needs an empty store")
+        slots = state["slots"]
+        size = int(slots.shape[0])
+        self._slots = np.empty(int(state["capacity"]), dtype=np.int64)
+        self._slots[:size] = slots
+        self._size = size
+        self._ids = self._arrays.cell_ids[slots].tolist()
+        self._pos = {cell_id: i for i, cell_id in enumerate(self._ids)}
+        ids_cached, seed_cached = state["cached"].tolist()
+        if ids_cached:
+            self.ids_array()
+        if seed_cached:
+            self.seed_view()
 
     # ------------------------------------------------------------------ #
     # write-through compatibility no-ops

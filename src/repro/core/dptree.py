@@ -78,6 +78,22 @@ class DPTree:
             else:
                 self._children.setdefault(cell.dependency, set()).add(cell.cell_id)
 
+    def restore(self, cells: Dict[int, ClusterCell]) -> None:
+        """Refill an empty tree with ``{cell_id: cell}`` in iteration order.
+
+        The dependency links are taken as they stand in the cells' ``dep``
+        column (restored checkpoint state); only the reverse
+        parent -> children sets are rebuilt from them.
+        """
+        if self._cells:
+            raise ValueError("restore needs an empty DP-Tree")
+        self._cells = dict(cells)
+        self._children = {cell_id: set() for cell_id in self._cells}
+        for cell_id, cell in self._cells.items():
+            parent = cell.dependency
+            if parent is not None and parent in self._children:
+                self._children[parent].add(cell_id)
+
     def remove(self, cell_id: int) -> ClusterCell:
         """Remove a cell, detaching it from its parent and orphaning its children.
 

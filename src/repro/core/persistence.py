@@ -1,109 +1,83 @@
 """Saving and restoring EDMStream model state.
 
 A long-running stream clusterer needs to survive process restarts without
-replaying the whole stream.  This module serialises everything EDMStream
-needs to continue exactly where it left off — the configuration, the active
-cells with their DP-Tree dependencies, the outlier reservoir, the learned α
-and the current τ — into a plain JSON-compatible dictionary:
+replaying the whole stream.  This module checkpoints everything EDMStream
+needs to continue exactly where it left off — the configuration, the cell
+arena with its DP-Tree dependencies, both population views, the outlier
+reservoir, the learned α, the current τ and, in capped mode, the sketch
+tier — as a flat mapping of numpy arrays:
 
-* :func:`model_to_dict` / :func:`model_from_dict` — in-memory round trip,
-* :func:`save_model` / :func:`load_model` — JSON file round trip.
+* :func:`model_to_arrays` / :func:`model_from_arrays` — in-memory round trip,
+* :func:`save_model` / :func:`load_model` — one atomic ``.npz`` file.
 
-Cell seeds are stored as coordinate lists for numeric metrics and as token
-lists for the Jaccard metric; evolution history and performance counters are
-intentionally *not* persisted (they describe the past run, not the state
-needed to continue clustering).
+The layout is written verbatim, not compacted: slot numbers, store
+positions, free-list order and array capacities all carry over, because
+capped-mode eviction breaks ties by store position and the cap accounting
+counts capacities.  A restored model therefore continues exactly like one
+that never stopped.  Nothing is pickled: token-set seeds are stored as flat
+string arrays, and configuration plus scalar clocks travel as a small JSON
+header stored as a ``uint8`` array.  Evolution history and performance
+counters are intentionally *not* persisted (they describe the past run,
+not the state needed to continue clustering).  The format is described in
+``docs/ARCHITECTURE.md`` ("Checkpoint format").
 """
 
 from __future__ import annotations
 
 import json
-import math
+import os
 import pathlib
-from typing import Any, Dict, List, Union
+from typing import Any, Dict, Mapping, Union
 
-from repro.core.cell import ClusterCell, ensure_cell_id_floor
+import numpy as np
+
+from repro.core.cell import ensure_cell_id_floor
 from repro.core.config import EDMStreamConfig
 from repro.core.edmstream import EDMStream
-from repro.distance.text import TokenSetPoint
 
-#: Format version written into every snapshot, checked on load.
-FORMAT_VERSION = 1
+#: Format version written into every checkpoint header, checked on load.
+#: Version 1 was a per-cell JSON document; it is no longer readable.
+FORMAT_VERSION = 2
 
 __all__ = [
     "FORMAT_VERSION",
-    "model_to_dict",
-    "model_from_dict",
+    "model_to_arrays",
+    "model_from_arrays",
     "save_model",
     "load_model",
 ]
 
 
-def _encode_value(value: float) -> Union[float, str]:
-    """JSON-safe encoding of a float (infinity is not valid JSON)."""
-    if isinstance(value, float) and math.isinf(value):
-        return "inf"
-    return value
+def _prefixed(prefix: str, arrays: Mapping[str, np.ndarray]) -> Dict[str, np.ndarray]:
+    return {f"{prefix}.{name}": value for name, value in arrays.items()}
 
 
-def _decode_value(value: Union[float, str]) -> float:
-    return float("inf") if value == "inf" else float(value)
-
-
-def _encode_seed(seed: Any, numeric: bool) -> Any:
-    if numeric:
-        return [float(v) for v in seed]
-    if isinstance(seed, TokenSetPoint):
-        return {"tokens": sorted(seed.tokens), "text": seed.text}
-    if isinstance(seed, (frozenset, set)):
-        return {"tokens": sorted(seed), "text": None}
-    raise TypeError(f"cannot serialise seed of type {type(seed).__name__}")
-
-
-def _decode_seed(data: Any, numeric: bool) -> Any:
-    if numeric:
-        return tuple(float(v) for v in data)
-    return TokenSetPoint(tokens=frozenset(data["tokens"]), text=data.get("text"))
-
-
-def _encode_cell(cell: ClusterCell, numeric: bool) -> Dict[str, Any]:
+def _section(prefix: str, arrays: Mapping[str, np.ndarray]) -> Dict[str, np.ndarray]:
+    start = len(prefix) + 1
     return {
-        "cell_id": cell.cell_id,
-        "seed": _encode_seed(cell.seed, numeric),
-        "density": cell.density,
-        "created_at": cell.created_at,
-        "last_update": cell.last_update,
-        "last_absorb": cell.last_absorb,
-        "dependency": cell.dependency,
-        "delta": _encode_value(cell.delta),
-        "points_absorbed": cell.points_absorbed,
-        "label_votes": {str(k): v for k, v in cell.label_votes.items()},
+        name[start:]: value for name, value in arrays.items() if name.startswith(prefix + ".")
     }
 
 
-def _decode_cell(data: Dict[str, Any], numeric: bool) -> ClusterCell:
-    return ClusterCell(
-        seed=_decode_seed(data["seed"], numeric),
-        density=float(data["density"]),
-        created_at=float(data["created_at"]),
-        last_update=float(data["last_update"]),
-        last_absorb=float(data["last_absorb"]),
-        dependency=data["dependency"],
-        delta=_decode_value(data["delta"]),
-        points_absorbed=int(data["points_absorbed"]),
-        cell_id=int(data["cell_id"]),
-        label_votes={int(k): int(v) for k, v in data.get("label_votes", {}).items()},
-    )
+def _config_dict(config: EDMStreamConfig) -> Dict[str, Any]:
+    params = dict(config.__dict__)
+    if params["telemetry"] not in (None, False, True):
+        # A live Telemetry instance is not state; the restored model gets
+        # a fresh one.
+        params["telemetry"] = True
+    return params
 
 
-def model_to_dict(model: EDMStream) -> Dict[str, Any]:
-    """Serialise an EDMStream model into a JSON-compatible dictionary."""
-    numeric = model._numeric
-    active = [_encode_cell(cell, numeric) for cell in model.tree.cells()]
-    inactive = [_encode_cell(cell, numeric) for cell in model.reservoir.cells()]
-    return {
+def model_to_arrays(model: EDMStream) -> Dict[str, np.ndarray]:
+    """Checkpoint an EDMStream model as a ``dict[str, np.ndarray]``.
+
+    The model is only read, never changed: saving leaves the live model on
+    exactly the course it would have taken without the checkpoint.  The
+    arrays are copies, safe to keep while the model goes on learning.
+    """
+    header = {
         "format_version": FORMAT_VERSION,
-        "config": dict(model.config.__dict__),
+        "config": _config_dict(model.config),
         "state": {
             "tau": model._tau,
             "alpha": model.tau_optimizer.alpha,
@@ -114,48 +88,51 @@ def model_to_dict(model: EDMStream) -> Dict[str, Any]:
             "last_maintenance": model._last_maintenance,
             "last_snapshot": model._last_snapshot,
             "last_tau_opt": model._last_tau_opt,
+            "reservoir_deleted": model.reservoir.total_deleted,
         },
-        "active_cells": active,
-        "inactive_cells": inactive,
     }
+    arrays = {"header": np.frombuffer(json.dumps(header).encode("utf-8"), dtype=np.uint8)}
+    arrays.update(_prefixed("arena", model._cells.dump()))
+    arrays.update(_prefixed("active", model._active.dump()))
+    arrays.update(_prefixed("inactive", model._inactive.dump()))
+    arrays["tree.order"] = np.fromiter(model.tree.cell_ids(), dtype=np.int64)
+    arrays["reservoir.order"] = np.fromiter(model.reservoir.cell_ids(), dtype=np.int64)
+    if model._bounded is not None:
+        arrays.update(_prefixed("sketch", model._bounded.dump()))
+    return arrays
 
 
-def model_from_dict(data: Dict[str, Any]) -> EDMStream:
-    """Rebuild an EDMStream model from :func:`model_to_dict` output."""
-    version = data.get("format_version")
+def _read_header(arrays: Mapping[str, np.ndarray]) -> Dict[str, Any]:
+    raw = arrays.get("header")
+    if raw is None:
+        raise ValueError("not an EDMStream checkpoint: no header array")
+    header = json.loads(np.asarray(raw, dtype=np.uint8).tobytes().decode("utf-8"))
+    version = header.get("format_version")
     if version != FORMAT_VERSION:
         raise ValueError(
-            f"unsupported snapshot format version {version!r} (expected {FORMAT_VERSION})"
+            f"unsupported checkpoint format version {version!r} (expected {FORMAT_VERSION})"
         )
-    config = EDMStreamConfig(**data["config"])
-    model = EDMStream(config)
-    numeric = model._numeric
+    return header
 
-    # Restore active cells first (without dependencies), then wire the
-    # dependency links once every node exists.
-    dependencies: List[Dict[str, Any]] = []
-    max_id = 0
-    for cell_data in data["active_cells"]:
-        cell = _decode_cell(cell_data, numeric)
-        max_id = max(max_id, cell.cell_id)
-        dependencies.append(
-            {"cell_id": cell.cell_id, "dependency": cell.dependency, "delta": cell.delta}
-        )
-        cell.dependency = None
-        cell.delta = float("inf")
-        model.tree.insert(cell)
-        model._active.add(cell)
-    for link in dependencies:
-        if link["dependency"] is not None and link["dependency"] in model.tree:
-            model.tree.set_dependency(link["cell_id"], link["dependency"], link["delta"])
 
-    for cell_data in data["inactive_cells"]:
-        cell = _decode_cell(cell_data, numeric)
-        max_id = max(max_id, cell.cell_id)
-        model.reservoir.add(cell)
-        model._inactive.add(cell)
+def model_from_arrays(arrays: Mapping[str, np.ndarray]) -> EDMStream:
+    """Rebuild an EDMStream model from :func:`model_to_arrays` output."""
+    header = _read_header(arrays)
+    model = EDMStream(EDMStreamConfig(**header["config"]))
 
-    state = data["state"]
+    arena = model._cells
+    arena.restore(_section("arena", arrays))
+    model._active.restore(_section("active", arrays))
+    model._inactive.restore(_section("inactive", arrays))
+    model.tree.restore(arena.views(arrays["tree.order"].tolist()))
+    state = header["state"]
+    model.reservoir.restore(
+        arena.views(arrays["reservoir.order"].tolist()),
+        total_deleted=state["reservoir_deleted"],
+    )
+    if model._bounded is not None:
+        model._bounded.restore(_section("sketch", arrays))
+
     model._tau = state["tau"]
     model.tau_optimizer.alpha = state["alpha"]
     model._now = float(state["now"])
@@ -168,21 +145,49 @@ def model_from_dict(data: Dict[str, Any]) -> EDMStream:
     if model._tau is not None:
         model.tau_history.append((model._now, model._tau))
 
-    ensure_cell_id_floor(max_id)
+    # Free and never-used slots hold cell id -1.
+    ensure_cell_id_floor(int(arena.cell_ids.max(initial=0)))
     return model
 
 
 def save_model(model: EDMStream, path: Union[str, pathlib.Path]) -> pathlib.Path:
-    """Write a model snapshot to a JSON file and return its path."""
+    """Write a checkpoint to ``path`` atomically and return the path.
+
+    The arrays go through an open handle to ``<path>.tmp``, which is
+    flushed and fsynced before it is renamed onto ``path``: a crash or an
+    error mid-write leaves the previous checkpoint in place, never a torn
+    file.  Writing through a handle also keeps ``path`` exactly as given
+    (``np.savez`` appends ``.npz`` to a bare file name).
+    """
     target = pathlib.Path(path)
     target.parent.mkdir(parents=True, exist_ok=True)
-    with target.open("w", encoding="utf-8") as handle:
-        json.dump(model_to_dict(model), handle)
+    arrays = model_to_arrays(model)
+    tmp = target.with_name(target.name + ".tmp")
+    try:
+        with tmp.open("wb") as handle:
+            np.savez(handle, **arrays)
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(tmp, target)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     return target
 
 
 def load_model(path: Union[str, pathlib.Path]) -> EDMStream:
-    """Load a model snapshot written by :func:`save_model`."""
-    with pathlib.Path(path).open("r", encoding="utf-8") as handle:
-        data = json.load(handle)
-    return model_from_dict(data)
+    """Load a checkpoint written by :func:`save_model`.
+
+    Nothing is unpickled (``allow_pickle=False``): a file holding object
+    arrays is rejected with ``ValueError``, as is a format-1 JSON file.
+    """
+    with pathlib.Path(path).open("rb") as handle:
+        if handle.read(1) == b"{":
+            raise ValueError(
+                f"{path} is a format-1 JSON checkpoint; only format "
+                f"{FORMAT_VERSION} array checkpoints can be loaded"
+            )
+        handle.seek(0)
+        with np.load(handle, allow_pickle=False) as data:
+            arrays = {name: data[name] for name in data.files}
+    return model_from_arrays(arrays)

@@ -79,6 +79,10 @@ class OutlierReservoir:
         """Iterate over the inactive cells."""
         return self._cells.values()
 
+    def cell_ids(self) -> Iterable[int]:
+        """Iterate over the inactive cell ids."""
+        return self._cells.keys()
+
     def get(self, cell_id: int) -> ClusterCell:
         """Return an inactive cell by id; raises ``KeyError`` if absent."""
         return self._cells[cell_id]
@@ -94,6 +98,13 @@ class OutlierReservoir:
         cell.dependency = None
         cell.delta = float("inf")
         self._cells[cell.cell_id] = cell
+
+    def restore(self, cells: Dict[int, ClusterCell], total_deleted: int = 0) -> None:
+        """Refill an empty reservoir with ``{cell_id: cell}`` in iteration order."""
+        if self._cells:
+            raise ValueError("restore needs an empty outlier reservoir")
+        self._cells = dict(cells)
+        self.total_deleted = int(total_deleted)
 
     def pop(self, cell_id: int) -> ClusterCell:
         """Remove and return a cell (e.g. because it became active)."""

@@ -28,7 +28,7 @@ builds on it.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Dict, Iterable, Iterator, List, Optional
 
 import numpy as np
 
@@ -264,6 +264,22 @@ class CellArrays:
             self._views[cell_id] = cell
         return cell
 
+    def views(self, cell_ids: Iterable[int]) -> Dict[int, Any]:
+        """``{cell_id: view}`` for many live cells at once (see :meth:`view`)."""
+        from repro.core.cell import ClusterCell
+
+        new, known, slot_of = ClusterCell.__new__, self._views, self._slot_of
+        views = {}
+        for cell_id in cell_ids:
+            cell = known.get(cell_id)
+            if cell is None:
+                cell = new(ClusterCell)
+                cell._arrays = self
+                cell._slot = slot_of[cell_id]
+                known[cell_id] = cell
+            views[cell_id] = cell
+        return views
+
     def register_view(self, cell_id: int, view: Any) -> None:
         """Record ``view`` as the canonical view object for ``cell_id``."""
         self._views[cell_id] = view
@@ -314,6 +330,88 @@ class CellArrays:
         return self._seed_obj[slot]
 
     # ------------------------------------------------------------------ #
+    # checkpointing
+    # ------------------------------------------------------------------ #
+    def dump(self) -> Dict[str, np.ndarray]:
+        """The arena's state as plain arrays (see :meth:`restore`).
+
+        Every column is written verbatim up to the high-water mark, free
+        slots included, together with the free-list and the capacity: slot
+        numbers, store positions and the capacity-based memory accounting
+        all carry over unchanged.  Seed objects are not pickled: a float64
+        arena's seed tuples are its matrix rows; a float32 arena also writes
+        the float64 seeds (``seed_obj``); a token-set arena writes its seeds
+        as a flat token array with per-slot offsets.
+        """
+        top = self._top
+        state: Dict[str, np.ndarray] = {
+            "capacity": np.asarray(self.capacity, dtype=np.int64),
+            "free": np.asarray(self._free, dtype=np.int64),
+            "seed_norm2": self.seed_norm2[:top].copy(),
+        }
+        for name, _, _ in _SCALAR_COLUMNS:
+            state[name] = getattr(self, name)[:top].copy()
+        live = np.flatnonzero(self.status[:top] != FREE)
+        if self.numeric:
+            if self.seeds is not None:
+                state["seeds"] = self.seeds[:top].copy()
+                if self.seed_dtype != np.float64:
+                    seed_obj = np.zeros((top, self.dim), dtype=np.float64)
+                    for slot in live.tolist():
+                        seed_obj[slot] = self._seed_obj[slot]
+                    state["seed_obj"] = seed_obj
+        else:
+            state.update(_dump_token_seeds([self._seed_obj[s] for s in live.tolist()]))
+        vote_rows = [
+            (slot, label, count)
+            for slot, votes in self._label_votes.items()
+            for label, count in votes.items()
+        ]
+        votes = np.asarray(vote_rows, dtype=np.int64).reshape(-1, 3)
+        state["vote_slot"], state["vote_label"], state["vote_count"] = votes.T
+        return state
+
+    def restore(self, state: Dict[str, np.ndarray]) -> None:
+        """Fill this (empty) arena from :meth:`dump` output, in bulk.
+
+        The arena keeps its identity — population views and the bounded
+        tier hold references to it — and only its columns and side tables
+        are replaced.
+        """
+        if self._top:
+            raise ValueError("restore needs an empty arena")
+        capacity = int(state["capacity"])
+        top = int(state["status"].shape[0])
+        self.capacity = capacity
+        self._top = top
+        self.seed_norm2 = np.zeros(capacity, dtype=np.float64)
+        self.seed_norm2[:top] = state["seed_norm2"]
+        for name, col_dtype, fill in _SCALAR_COLUMNS:
+            column = np.full(capacity, fill, dtype=col_dtype)
+            column[:top] = state[name]
+            setattr(self, name, column)
+        self._free = state["free"].tolist()
+        live = np.flatnonzero(self.status[:top] != FREE).tolist()
+        self._slot_of = dict(zip(self.cell_ids[live].tolist(), live))
+        if self.numeric:
+            seeds = state.get("seeds")
+            if seeds is not None:
+                self.dim = int(seeds.shape[1])
+                self.seeds = np.zeros((capacity, self.dim), dtype=self.seed_dtype)
+                self.seeds[:top] = seeds
+                rows = state.get("seed_obj", seeds)[live]
+                self._seed_obj = dict(zip(live, map(tuple, rows.tolist())))
+        else:
+            self._seed_obj = dict(zip(live, _restore_token_seeds(state)))
+        self._label_votes = {}
+        for slot, label, count in zip(
+            state["vote_slot"].tolist(),
+            state["vote_label"].tolist(),
+            state["vote_count"].tolist(),
+        ):
+            self._label_votes.setdefault(slot, {})[label] = count
+
+    # ------------------------------------------------------------------ #
     # invariants
     # ------------------------------------------------------------------ #
     def validate(self) -> None:
@@ -331,8 +429,53 @@ class CellArrays:
         assert len(self._slot_of) + len(free) == self._top
 
 
+def _dump_token_seeds(seeds: List[Any]) -> Dict[str, np.ndarray]:
+    """Token-set seeds as flat string arrays (no pickling needed to load).
+
+    ``token_offsets[i]:token_offsets[i + 1]`` slices seed ``i``'s sorted
+    tokens out of ``tokens``; ``seed_text[i]`` is its text, and
+    ``seed_is_point[i]`` says whether it was a ``TokenSetPoint`` (plain
+    frozensets restore as frozensets).
+    """
+    from repro.distance.text import TokenSetPoint
+
+    tokens: List[str] = []
+    offsets = [0]
+    texts: List[str] = []
+    is_point: List[bool] = []
+    for seed in seeds:
+        point = isinstance(seed, TokenSetPoint)
+        if not point and not isinstance(seed, (frozenset, set)):
+            raise TypeError(f"cannot checkpoint seed of type {type(seed).__name__}")
+        tokens.extend(sorted(seed.tokens if point else seed))
+        offsets.append(len(tokens))
+        texts.append(seed.text if point and seed.text is not None else "")
+        is_point.append(point)
+    return {
+        "tokens": np.asarray(tokens, dtype=str),
+        "token_offsets": np.asarray(offsets, dtype=np.int64),
+        "seed_text": np.asarray(texts, dtype=str),
+        "seed_is_point": np.asarray(is_point, dtype=bool),
+    }
+
+
+def _restore_token_seeds(state: Dict[str, np.ndarray]) -> List[Any]:
+    """Inverse of :func:`_dump_token_seeds`."""
+    from repro.distance.text import TokenSetPoint
+
+    tokens = state["tokens"].tolist()
+    offsets = state["token_offsets"].tolist()
+    seeds: List[Any] = []
+    for i, (text, point) in enumerate(
+        zip(state["seed_text"].tolist(), state["seed_is_point"].tolist())
+    ):
+        members = frozenset(tokens[offsets[i] : offsets[i + 1]])
+        seeds.append(TokenSetPoint(tokens=members, text=text) if point else members)
+    return seeds
+
+
 #: Shared arena backing standalone :class:`ClusterCell` objects — cells
-#: constructed directly (tests, deserialisation) before a model adopts them
+#: constructed directly (e.g. in tests) before a model adopts them
 #: into its own arena.  Non-numeric so it accepts seeds of any type or
 #: dimension.
 _DETACHED_ARENA = CellArrays(numeric=False)

@@ -11,15 +11,11 @@ interchangeable indexes:
   ball is empty.
 * :class:`KDTreeIndex` — a dynamic KD-tree with lazy deletion and periodic
   rebuilds; effective at low-to-moderate dimensionality.
-* :class:`ArenaIndex` — a zero-copy read-only view over a live
-  :class:`~repro.core.cellstore.CellStore`; queries gather straight from the
-  shared structure-of-arrays seed matrix.
 """
 
-from repro.index.arena import ArenaIndex
 from repro.index.base import SeedIndex
 from repro.index.brute import BruteForceIndex
 from repro.index.grid import GridIndex
 from repro.index.kdtree import KDTreeIndex
 
-__all__ = ["SeedIndex", "ArenaIndex", "BruteForceIndex", "GridIndex", "KDTreeIndex"]
+__all__ = ["SeedIndex", "BruteForceIndex", "GridIndex", "KDTreeIndex"]

@@ -179,6 +179,44 @@ class SketchTier:
         """Bytes held by the sketch structures (fixed at construction)."""
         return self.cms.nbytes() + self.bloom.nbytes()
 
+    def dump(self) -> Dict[str, np.ndarray]:
+        """The tier's mutable state as arrays (see :meth:`restore`).
+
+        Geometry and hash parameters follow from the constructor arguments,
+        so only the CMS counters and their timestamps, the bloom bits and
+        the lifetime counters are written.
+        """
+        return {
+            "cms_counters": self.cms.counters.copy(),
+            "cms_timestamps": self.cms.timestamps.copy(),
+            "bloom_bits": self.bloom._bits.copy(),
+            "counts": np.asarray(
+                [self.cms.n_writes, self.bloom.n_added, self.evictions, self.revivals],
+                dtype=np.int64,
+            ),
+            "mass": np.asarray([self.folded_density, self.revived_density]),
+        }
+
+    def restore(self, state: Dict[str, np.ndarray]) -> None:
+        """Load :meth:`dump` output into a tier of the same geometry."""
+        for name, current in (
+            ("cms_counters", self.cms.counters),
+            ("cms_timestamps", self.cms.timestamps),
+            ("bloom_bits", self.bloom._bits),
+        ):
+            if state[name].shape != current.shape:
+                raise ValueError(
+                    f"sketch {name} shape {state[name].shape} does not match the "
+                    f"configured tier {current.shape}"
+                )
+        self.cms.counters = state["cms_counters"].astype(np.float64)
+        self.cms.timestamps = state["cms_timestamps"].astype(np.float64)
+        self.bloom._bits = state["bloom_bits"].astype(np.uint8)
+        self.cms.n_writes, self.bloom.n_added, self.evictions, self.revivals = (
+            state["counts"].tolist()
+        )
+        self.folded_density, self.revived_density = state["mass"].tolist()
+
     def stats(self) -> Dict[str, Any]:
         """Counters for snapshots and benchmark artifacts."""
         return {
@@ -272,6 +310,19 @@ class BoundedCellStore:
             "peak_cell_state_bytes": max(self.peak_bytes, footprint["total"]),
             "cap_overflows": self.cap_overflows,
         }
+
+    def dump(self) -> Dict[str, np.ndarray]:
+        """The sketch tier's arrays plus the cap counters (see :meth:`restore`)."""
+        state = self.tier.dump()
+        state["cap_counts"] = np.asarray(
+            [self.cap_overflows, self.peak_bytes], dtype=np.int64
+        )
+        return state
+
+    def restore(self, state: Dict[str, np.ndarray]) -> None:
+        """Load :meth:`dump` output (the arena and stores are restored apart)."""
+        self.tier.restore(state)
+        self.cap_overflows, self.peak_bytes = state["cap_counts"].tolist()
 
     # ------------------------------------------------------------------ #
     # cap enforcement
